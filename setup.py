@@ -1,9 +1,8 @@
 """Setuptools shim.
 
 The project is configured through ``pyproject.toml``; this file exists so the
-package can be installed in editable mode (``pip install -e . --no-use-pep517``)
-in offline environments that lack the ``wheel`` package required by the
-PEP 517 editable-install path.
+package can also be installed with ``python setup.py develop`` in offline
+environments whose pip cannot build PEP 660 editable wheels.
 """
 
 from setuptools import setup

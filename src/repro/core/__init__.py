@@ -11,6 +11,7 @@
 from .bcheck import BoundednessResult, bcheck, is_bounded
 from .closure import (
     BOUND_CAP,
+    Actualization,
     ClosureResult,
     FiredConstraint,
     compute_closure,
@@ -42,6 +43,7 @@ from .rules import Derivation, ib_derives, ie_derives
 __all__ = [
     "ACTUALIZATION",
     "AUGMENTATION",
+    "Actualization",
     "BOUND_CAP",
     "COMBINATION",
     "REFLEXIVITY",

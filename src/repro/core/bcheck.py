@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..access.schema import AccessSchema
 from ..spc.atoms import AttrRef
 from ..spc.query import SPCQuery
-from .closure import ClosureResult, compute_closure
+from .closure import Actualization, ClosureResult, compute_closure
 from .deduction import Proof
 
 
@@ -70,17 +70,23 @@ class BoundednessResult:
         return "\n".join(lines)
 
 
-def bcheck(query: SPCQuery, access_schema: AccessSchema) -> BoundednessResult:
+def bcheck(
+    query: SPCQuery,
+    access_schema: AccessSchema,
+    actualized: Actualization | None = None,
+) -> BoundednessResult:
     """Decide whether ``query`` is bounded under ``access_schema`` (Theorem 3).
 
     The query must be satisfiable; an unsatisfiable query raises
     :class:`~repro.errors.UnsatisfiableQueryError` (the paper assumes
     satisfiability w.l.o.g. — an unsatisfiable query is trivially bounded by
     the empty set, but reporting it as such would mask a query-authoring bug).
+    ``actualized`` is the check's shared
+    :class:`~repro.core.closure.Actualization`; one is built when omitted.
     """
     query.closure.require_satisfiable()
     seeds = query.condition_only_refs | query.constant_refs
-    closure = compute_closure(query, access_schema, seeds)
+    closure = compute_closure(query, access_schema, seeds, actualized)
     required = query.condition_only_refs | frozenset(query.output)
     missing = closure.missing(required)
     return BoundednessResult(

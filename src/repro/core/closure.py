@@ -15,6 +15,16 @@ of the same constraint (all ``Σ_Q``-equivalent); each (constraint, key
 attribute) pair is still processed at most once, preserving the
 ``O(|Q|(|A| + |Q|))`` behaviour of the paper.
 
+``Γ``, ``L[A]`` and the ``Σ_Q`` classes depend only on ``Q`` and ``A``, not on
+the seeds, so they live in an :class:`Actualization` that one check builds once
+and hands to every closure it runs (BCheck, EBCheck, QPlan and the findDPh
+probes).  A class lookup is then one dictionary hit, with no copy of the
+class.  Adding an attribute walks its whole ``Σ_Q`` class, and ``L[A]`` lists
+a constraint once per member of each key attribute's class, so one closure
+costs ``O(|seeds| + Σ_{γ ∈ Γ} Σ_{x ∈ X_γ ∪ Y_γ} |class(x)|)`` set operations
+beyond building that context: linear in ``|Γ|`` while classes stay small, and
+a factor of up to ``|Q|`` more when one class spans the whole query.
+
 Beyond the yes/no closure, the engine records *provenance* (which constraint
 added which attribute, and from which premises) and a per-attribute bound
 estimate; QPlan-style consumers use the provenance to rebuild proofs.
@@ -23,7 +33,7 @@ estimate; QPlan-style consumers use the provenance to rebuild proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..access.schema import AccessSchema
 from ..errors import ApiMisuseError
@@ -131,19 +141,72 @@ class ClosureResult:
         return proof
 
 
+class Actualization:
+    """``Γ = Actualize(A, Q)`` with its ``L[A]`` index and the ``Σ_Q`` classes.
+
+    Everything a closure over ``Q`` needs that does not depend on the seeds.
+    Build one per check and pass it to every closure of that check; it holds
+    no state a closure mutates.  It is deliberately not cached on the query
+    or in module state: queries are long-lived (plan-cache keys), and the
+    serving workers share one engine.
+    """
+
+    __slots__ = ("query", "access_schema", "gamma", "classes", "applicable")
+
+    def __init__(self, query: SPCQuery, access_schema: AccessSchema) -> None:
+        self.query = query
+        self.access_schema = access_schema
+        #: ``Γ``: every constraint of ``A`` on every occurrence it constrains.
+        self.gamma: tuple[ActualizedConstraint, ...] = tuple(actualize(query, access_schema))
+        #: The ``Σ_Q`` class of every attribute the condition mentions; an
+        #: attribute missing here is alone in its class.
+        self.classes: dict[AttrRef, frozenset[AttrRef]] = {
+            member: members for members in query.closure.classes() for member in members
+        }
+        #: ``L[A]``: positions in ``Γ`` of the constraints whose key side
+        #: mentions an attribute ``Σ_Q``-equivalent to ``A``.
+        self.applicable: dict[AttrRef, list[int]] = {}
+        for position, item in enumerate(self.gamma):
+            for key_ref in item.x:
+                for member in self.classes.get(key_ref) or (key_ref,):
+                    self.applicable.setdefault(member, []).append(position)
+
+    def members(self, ref: AttrRef) -> frozenset[AttrRef]:
+        """The ``Σ_Q`` class of ``ref``."""
+        members = self.classes.get(ref)
+        return members if members is not None else frozenset((ref,))
+
+
+def actualization(
+    query: SPCQuery,
+    access_schema: AccessSchema,
+    actualized: Actualization | None = None,
+) -> Actualization:
+    """``actualized`` when given and built for ``query`` under ``access_schema``, else a new one."""
+    if actualized is None:
+        return Actualization(query, access_schema)
+    if actualized.query is not query or actualized.access_schema is not access_schema:
+        raise ApiMisuseError(
+            "an Actualization serves only the query and access schema it was built for"
+        )
+    return actualized
+
+
 def compute_closure(
     query: SPCQuery,
     access_schema: AccessSchema,
     seeds: Iterable[AttrRef],
-    actualized: list[ActualizedConstraint] | None = None,
+    actualized: Actualization | None = None,
 ) -> ClosureResult:
     """Compute the access closure of ``seeds`` under ``A`` for ``Q``.
 
     This is the engine shared by BCheck (seeds ``X_B ∪ X_C``) and EBCheck
-    (seeds ``X_C``); see Fig. 3 of the paper.
+    (seeds ``X_C``); see Fig. 3 of the paper.  Pass the check's shared
+    :class:`Actualization` as ``actualized`` to skip rebuilding ``Γ``.
     """
-    closure_eq = query.closure
-    gamma = actualized if actualized is not None else actualize(query, access_schema)
+    context = actualization(query, access_schema, actualized)
+    gamma = context.gamma
+    classes = context.classes
 
     seed_set = frozenset(seeds)
     closure: set[AttrRef] = set()
@@ -154,7 +217,7 @@ def compute_closure(
     def add_attribute(ref: AttrRef, bound: int, firing: FiredConstraint | None) -> list[AttrRef]:
         """Add ``ref`` and all its Σ_Q-equivalents; return the genuinely new ones."""
         added: list[AttrRef] = []
-        for member in closure_eq.equivalent_refs(ref):
+        for member in classes.get(ref) or (ref,):
             if member not in closure:
                 closure.add(member)
                 bounds[member] = min(bound, BOUND_CAP)
@@ -178,16 +241,6 @@ def compute_closure(
     covered_by: list[dict[AttrRef, AttrRef]] = [dict() for _ in gamma]
     fired = [False] * len(gamma)
 
-    # L[A]: constraints whose key side mentions an attribute Σ_Q-equivalent to A.
-    applicable: dict[AttrRef, list[int]] = {}
-    for position, item in enumerate(gamma):
-        for key_ref in item.x:
-            for member in closure_eq.equivalent_refs(key_ref):
-                applicable.setdefault(member, []).append(position)
-        if not item.x:
-            # Empty key side (bounded-domain constraint): fires immediately.
-            pass
-
     def fire(position: int) -> None:
         item = gamma[position]
         fired[position] = True
@@ -206,18 +259,15 @@ def compute_closure(
         if not item.x and not fired[position]:
             fire(position)
 
+    applicable = context.applicable
     while worklist:
         attribute = worklist.pop()
+        equivalents = classes.get(attribute) or (attribute,)
         for position in applicable.get(attribute, ()):
             if fired[position]:
                 continue
-            item = gamma[position]
             still_needed = remaining[position]
-            newly_covered = [
-                key_ref
-                for key_ref in still_needed
-                if closure_eq.entails_eq(key_ref, attribute) or key_ref == attribute
-            ]
+            newly_covered = [key_ref for key_ref in still_needed if key_ref in equivalents]
             for key_ref in newly_covered:
                 still_needed.discard(key_ref)
                 covered_by[position][key_ref] = attribute

@@ -28,10 +28,19 @@ statement:
   the ratio against all seven uninstantiated attributes of ``Q_1``, so the
   denominator used here is the number of candidate parameters, which
   reproduces the example's arithmetic (3/7) exactly.
+
+Every "would instantiating ``X_P`` make ``Q`` effectively bounded?" question
+is a *seeded probe*: the EBCheck closure under ``Q``'s own ``Σ_Q``, seeded with
+``X_C ∪ X_P`` (and so with the ``Σ_Q`` classes of both), must cover
+``X_Q ∪ X_P``.  That is the verdict of EBCheck on ``Q(X_P = ā)`` for any
+constants ``ā`` that keep the query satisfiable, but no instantiated query is
+built, and the classes of ``X_P`` stay apart instead of merging into one large
+class that every constraint firing would walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -40,13 +49,8 @@ from ..access.schema import AccessSchema
 from ..errors import ApiMisuseError
 from ..spc.atoms import AttrRef
 from ..spc.query import SPCQuery
-from .ebcheck import ebcheck
-
-
-#: Placeholder constant used when probing "would the query be effectively
-#: bounded if these parameters were instantiated?".  Effective boundedness
-#: does not depend on the actual constants, only on which parameters carry one.
-_PROBE_VALUE = "__probe__"
+from .closure import Actualization, actualization
+from .ebcheck import EffectiveBoundednessResult, ebcheck, effective_verdict
 
 
 @dataclass
@@ -64,27 +68,48 @@ class DominatingParametersResult:
         return self.found
 
 
-def _instantiated(query: SPCQuery, refs: Iterable[AttrRef]) -> SPCQuery:
-    """The query with every reference of ``refs`` bound to a probe constant."""
-    return query.with_constants({ref: _PROBE_VALUE for ref in refs})
-
-
 def _candidate_refs(query: SPCQuery) -> frozenset[AttrRef]:
     """Candidate parameters for ``X_P``: occurrence attributes not yet instantiated."""
     return query.all_refs() - query.constant_refs
+
+
+def _probe(
+    query: SPCQuery,
+    access_schema: AccessSchema,
+    refs: Iterable[AttrRef],
+    context: Actualization,
+) -> EffectiveBoundednessResult:
+    """EBCheck's verdict on ``Q(X_P = ā)`` for ``X_P = refs``, without building it.
+
+    Instantiating ``X_P`` makes every ``Σ_Q`` class of ``X_P`` constant and
+    adds ``X_P`` to the parameters, and nothing else: effective boundedness
+    depends only on which parameters carry a constant, never on the values.
+    So the closure runs under ``Q``'s own ``Σ_Q``, seeded with ``X_C ∪ X_P``
+    (a seed brings its whole class in at bound 1), and must cover
+    ``X_Q ∪ X_P``.
+    """
+    refs = frozenset(refs)
+    return effective_verdict(
+        query, access_schema, query.constant_refs | refs, query.parameters | refs, context
+    )
 
 
 def makes_effectively_bounded(
     query: SPCQuery, access_schema: AccessSchema, refs: Iterable[AttrRef]
 ) -> bool:
     """Whether instantiating ``refs`` makes ``query`` effectively bounded under ``A``."""
-    return ebcheck(_instantiated(query, refs), access_schema).effectively_bounded
+    query.closure.require_satisfiable()
+    context = Actualization(query, access_schema)
+    return _probe(query, access_schema, refs, context).effectively_bounded
 
 
 def find_dominating_parameters(
     query: SPCQuery,
     access_schema: AccessSchema,
     alpha: float | None = None,
+    *,
+    verdict: EffectiveBoundednessResult | None = None,
+    actualized: Actualization | None = None,
 ) -> DominatingParametersResult:
     """The ``findDPh`` heuristic (Section 4.3).
 
@@ -95,14 +120,32 @@ def find_dominating_parameters(
     alpha:
         The fraction ``α ∈ (0, 1)`` limiting ``|X_P|`` relative to the number
         of uninstantiated parameters.  ``None`` disables the ratio check.
+    verdict:
+        ``query``'s EBCheck verdict, when the caller already has it.
+    actualized:
+        The caller's :class:`~repro.core.closure.Actualization` of ``query``
+        under ``access_schema``; one is built when omitted.
+
+    Cost: step 2 and the final check each cost one EBCheck closure over the
+    shared ``Γ`` under ``Q``'s own ``Σ_Q``, and step 1 is ``O(|Q| · |A|)``,
+    all within the paper's ``O(|Q|(|A| + |Q|))``.  Step 3 repeats its pass
+    over ``X_P`` until nothing more can be dropped; a pass costs
+    ``O(|X_P| · |A|)`` class lookups and every pass but the last drops at
+    least one class, so its worst case is ``O(|X_P|² · |A|)``, above the
+    paper's bound by a factor of ``|X_P|``.
     """
     query.closure.require_satisfiable()
+    context = actualization(query, access_schema, actualized)
     candidates = _candidate_refs(query)
     denominator = max(1, len(candidates))
 
     # A query that is already effectively bounded needs no instantiation: the
     # empty set is trivially a minimum dominating-parameter set.
-    if ebcheck(query, access_schema).effectively_bounded:
+    if verdict is None:
+        verdict = ebcheck(query, access_schema, context)
+    elif verdict.query is not query:
+        raise ApiMisuseError("verdict is an EBCheck result for a different query")
+    if verdict.effectively_bounded:
         return DominatingParametersResult(found=True, parameters=frozenset(), ratio=0.0)
 
     # Step 1 (initial candidates): attributes not yet instantiated that appear
@@ -118,31 +161,37 @@ def find_dominating_parameters(
     # Step 2 (checking): every occurrence's parameters must be indexed and
     # covered by the candidate set together with the already-instantiated
     # parameters; otherwise no dominating set exists at all (Example 8).
-    probe = ebcheck(_instantiated(query, initial), access_schema)
+    probe = _probe(query, access_schema, initial, context)
     if not probe.effectively_bounded:
         return DominatingParametersResult(
             found=False,
             parameters=frozenset(),
             ratio=None,
-            reason=(
-                "instantiating every candidate parameter still leaves the query "
-                "not effectively bounded: " + probe.explain()
-            ),
+            reason="\n".join([
+                f"instantiating every candidate parameter still leaves {query.name} "
+                f"not effectively bounded:",
+                *probe.diagnostics(),
+            ]),
         )
 
     # Step 3 (minimizing): drop parameters that can be recovered through a
     # constraint whose key side is still covered by the remaining candidates
     # (or by constants), removing the whole Σ_Q-equivalence class at once.
     # As in the paper, removability is a purely rule-based check (no repeated
-    # EBCheck calls), which keeps findDPh within O(|Q|(|A| + |Q|)).
+    # EBCheck calls).  ``support`` counts, per Σ_Q class, the covered
+    # references in it, so "some covered reference other than ``ref`` is
+    # equivalent to this key" is one lookup.
+    members = context.members
     current: set[AttrRef] = set(initial)
-    closure_eq = query.closure
+    support = Counter(members(ref) for ref in current)
+    support.update(members(ref) for ref in query.constant_refs)
     changed = True
     while changed:
         changed = False
         for ref in sorted(current):
             if ref not in current:
                 continue
+            own_class = members(ref)
             relation = query.atoms[ref.atom].relation_name
             removable = False
             for constraint in access_schema.for_relation(relation):
@@ -150,30 +199,24 @@ def find_dominating_parameters(
                     continue
                 if ref.attribute not in constraint.y_set:
                     continue
-                key_refs = {AttrRef(ref.atom, a) for a in constraint.x}
-                covered = current | query.constant_refs
-                remaining = covered - {ref}
                 if all(
-                    key_ref in remaining
-                    or any(closure_eq.entails_eq(key_ref, other) for other in remaining)
-                    for key_ref in key_refs
+                    support[key_class] > (key_class == own_class)
+                    for key_class in (members(AttrRef(ref.atom, a)) for a in constraint.x)
                 ):
                     removable = True
                     break
             if not removable:
                 continue
-            equivalence_class = {
-                other for other in current if closure_eq.entails_eq(ref, other)
-            }
-            shrunk = current - equivalence_class
-            if shrunk:
-                current = shrunk
+            equivalence_class = current & own_class
+            if len(equivalence_class) < len(current):
+                current -= equivalence_class
+                support[own_class] -= len(equivalence_class)
                 changed = True
 
     # Final safety net: the rule-based minimization should preserve effective
     # boundedness; if an edge case slips through, fall back to the validated
     # (larger) candidate set from step 2.
-    if not makes_effectively_bounded(query, access_schema, current):
+    if not _probe(query, access_schema, current, context).effectively_bounded:
         current = set(initial)
 
     ratio = len(current) / denominator
@@ -207,9 +250,10 @@ def find_minimum_dominating_parameters(
             f"query has {len(candidates)}"
         )
     denominator = max(1, len(candidates))
+    context = Actualization(query, access_schema)
     for size in range(0, len(candidates) + 1):
         for subset in combinations(candidates, size):
-            if makes_effectively_bounded(query, access_schema, subset):
+            if _probe(query, access_schema, subset, context).effectively_bounded:
                 ratio = size / denominator
                 if alpha is not None and ratio > alpha:
                     return DominatingParametersResult(

@@ -18,11 +18,12 @@ Complexity: ``O(|Q|(|A| + |Q|))`` (Theorem 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..access.schema import AccessSchema
 from ..spc.atoms import AttrRef
 from ..spc.query import SPCQuery
-from .closure import ClosureResult, compute_closure, indexed_per_atom
+from .closure import Actualization, ClosureResult, compute_closure, indexed_per_atom
 
 
 @dataclass
@@ -43,13 +44,17 @@ class EffectiveBoundednessResult:
 
     def explain(self) -> str:
         """A human-readable explanation of the verdict."""
-        atoms = self.query.atoms
         if self.effectively_bounded:
             return (
                 f"{self.query.name} is EFFECTIVELY BOUNDED under the access schema "
                 f"({self.access_schema.cardinality} constraints)."
             )
-        lines = [f"{self.query.name} is NOT effectively bounded:"]
+        return "\n".join([f"{self.query.name} is NOT effectively bounded:", *self.diagnostics()])
+
+    def diagnostics(self) -> list[str]:
+        """One indented line per uncovered parameter and per unindexed occurrence."""
+        atoms = self.query.atoms
+        lines = []
         if self.uncovered:
             lines.append("  parameters not deducible from the instantiated constants (X_C):")
             lines.extend(f"    {ref.pretty(atoms)}" for ref in sorted(self.uncovered))
@@ -59,22 +64,44 @@ class EffectiveBoundednessResult:
             lines.append(
                 f"  parameters of occurrence {alias!r} ({relation}) are not indexed in A"
             )
-        return "\n".join(lines)
+        return lines
 
 
-def ebcheck(query: SPCQuery, access_schema: AccessSchema) -> EffectiveBoundednessResult:
-    """Decide whether ``query`` is effectively bounded under ``access_schema``."""
+def ebcheck(
+    query: SPCQuery,
+    access_schema: AccessSchema,
+    actualized: Actualization | None = None,
+) -> EffectiveBoundednessResult:
+    """Decide whether ``query`` is effectively bounded under ``access_schema``.
+
+    ``actualized`` is the check's shared :class:`~repro.core.closure.Actualization`
+    of ``query`` under ``access_schema``; one is built when it is omitted.
+    """
     query.closure.require_satisfiable()
-    closure = compute_closure(query, access_schema, query.constant_refs)
+    return effective_verdict(
+        query, access_schema, query.constant_refs, query.parameters, actualized
+    )
 
-    all_parameters: set[AttrRef] = set()
-    for atom_index in range(query.num_atoms):
-        all_parameters |= query.atom_parameters(atom_index)
 
-    uncovered = closure.missing(all_parameters)
-    indexed = indexed_per_atom(query, access_schema, all_parameters)
+def effective_verdict(
+    query: SPCQuery,
+    access_schema: AccessSchema,
+    seeds: Iterable[AttrRef],
+    parameters: Iterable[AttrRef],
+    actualized: Actualization | None = None,
+) -> EffectiveBoundednessResult:
+    """Theorem 4's two conditions for an explicit seed set and parameter set.
+
+    :func:`ebcheck` passes ``X_C`` and ``X_Q``.  findDPh's probes pass
+    ``X_C ∪ X_P`` and ``X_Q ∪ X_P`` for a candidate set ``X_P``: the seeds
+    and the parameters the instantiated query ``Q(X_P = ā)`` would have, up
+    to ``Σ_Q`` classes, which the closure adds itself.
+    """
+    closure = compute_closure(query, access_schema, seeds, actualized)
+    required = frozenset(parameters)
+    uncovered = closure.missing(required)
+    indexed = indexed_per_atom(query, access_schema, required)
     unindexed = tuple(sorted(index for index, ok in indexed.items() if not ok))
-
     return EffectiveBoundednessResult(
         effectively_bounded=not uncovered and not unindexed,
         closure=closure,

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from ..access.indexes import AccessIndexes
 from ..access.schema import AccessSchema
 from ..core.bcheck import BoundednessResult, bcheck
+from ..core.closure import Actualization
 from ..core.dominating import DominatingParametersResult, find_dominating_parameters
 from ..core.ebcheck import EffectiveBoundednessResult, ebcheck
 from ..errors import NotEffectivelyBoundedError, PlanVerificationError
@@ -226,19 +227,29 @@ class BoundedEngine:
     # -- analysis -----------------------------------------------------------------------
 
     def check(self, query: SPCQuery, suggest_parameters: bool = True) -> QueryReport:
-        """Static analysis: boundedness, effective boundedness, plan, suggestions."""
-        boundedness = bcheck(query, self.access_schema)
-        effective = ebcheck(query, self.access_schema)
+        """Static analysis: boundedness, effective boundedness, plan, suggestions.
+
+        One :class:`~repro.core.closure.Actualization` of ``query`` serves
+        BCheck, EBCheck, QPlan and findDPh, and EBCheck runs once: its
+        verdict is handed on to the planner and to findDPh.
+        """
+        actualized = Actualization(query, self.access_schema)
+        boundedness = bcheck(query, self.access_schema, actualized)
+        effective = ebcheck(query, self.access_schema, actualized)
         plan: BoundedPlan | None = None
         dominating: DominatingParametersResult | None = None
         certificate = None
         verification_error = None
         if effective.effectively_bounded:
-            plan = self.plan(query)
+            plan = self._plan(query, actualized)
             certificate, verification_error = self._certify(plan)
         elif suggest_parameters:
             dominating = find_dominating_parameters(
-                query, self.access_schema, alpha=self.dominating_alpha
+                query,
+                self.access_schema,
+                alpha=self.dominating_alpha,
+                verdict=effective,
+                actualized=actualized,
             )
         return QueryReport(
             query=query,
@@ -291,18 +302,25 @@ class BoundedEngine:
         so a template rejected by EBCheck once is rejected for every binding
         without re-running the quadratic check.
         """
+        return self._plan(query)
+
+    def _plan(self, query: SPCQuery, checked: Actualization | None = None) -> BoundedPlan:
+        """:meth:`plan`; ``checked`` is the Γ of a query EBCheck already accepted."""
         plan = self._plan_cache.get(query)
         if plan is not None:
             return plan
-        # The shape cannot distinguish satisfiable bindings from unsatisfiable
-        # ones, so settle satisfiability (cheap, cached on the query) before
-        # trusting a shape-keyed verdict.
-        query.closure.require_satisfiable()
-        reason = self._negative_cache.get(query.plan_shape)
-        if reason is not None:
-            raise NotEffectivelyBoundedError(reason)
+        if checked is None:
+            # The shape cannot distinguish satisfiable bindings from
+            # unsatisfiable ones, so settle satisfiability (cheap, cached on
+            # the query) before trusting a shape-keyed verdict.
+            query.closure.require_satisfiable()
+            reason = self._negative_cache.get(query.plan_shape)
+            if reason is not None:
+                raise NotEffectivelyBoundedError(reason)
         try:
-            plan = qplan(query, self.access_schema)
+            plan = qplan(
+                query, self.access_schema, check=checked is None, actualized=checked
+            )
         except NotEffectivelyBoundedError as error:
             self._negative_cache.put(
                 query.plan_shape, str(error), relations=_query_relations(query)

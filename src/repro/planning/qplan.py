@@ -28,7 +28,8 @@ reproduces the 7 000-tuple bound.
 from __future__ import annotations
 
 from ..access.schema import AccessSchema
-from ..core.deduction import ActualizedConstraint, actualize
+from ..core.closure import Actualization, actualization
+from ..core.deduction import ActualizedConstraint
 from ..core.ebcheck import ebcheck
 from ..errors import NotEffectivelyBoundedError, PlanningError
 from ..spc.atoms import AttrRef
@@ -68,8 +69,14 @@ def qplan(
     query: SPCQuery,
     access_schema: AccessSchema,
     check: bool = True,
+    actualized: Actualization | None = None,
 ) -> BoundedPlan:
     """Generate a bounded plan for ``query`` under ``access_schema``.
+
+    ``check=False`` skips EBCheck, for a caller that already holds a positive
+    verdict; ``actualized`` is that caller's
+    :class:`~repro.core.closure.Actualization` of ``query`` (one is built when
+    omitted), shared by the check and the saturation below.
 
     Raises
     ------
@@ -79,15 +86,15 @@ def qplan(
         When no covering step can be found for some occurrence despite the
         query passing EBCheck (indicates an internal inconsistency).
     """
+    context = actualization(query, access_schema, actualized)
     if check:
-        verdict = ebcheck(query, access_schema)
+        verdict = ebcheck(query, access_schema, context)
         if not verdict.effectively_bounded:
             raise NotEffectivelyBoundedError(verdict.explain())
     else:
         query.closure.require_satisfiable()
 
     closure_eq = query.closure
-    gamma = actualize(query, access_schema)
 
     steps: list[FetchStep] = []
     #: Best (lowest-bound) source for every attribute reference whose values
@@ -109,7 +116,7 @@ def qplan(
         return None
 
     # -- step 1: saturation -----------------------------------------------------------
-    pending: list[ActualizedConstraint] = list(gamma)
+    pending: list[ActualizedConstraint] = list(context.gamma)
     progress = True
     while progress:
         progress = False

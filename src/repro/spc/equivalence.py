@@ -12,10 +12,14 @@ it determines
 
 The implementation is a union–find over attribute references and constants
 that additionally maintains, per equivalence class, its member references and
-its constant (if any).  All queries used by the checking algorithms —
-``entails_eq``, ``constant_of``, ``equivalent_refs`` — are therefore
-(amortized) constant time in the class size, which is what keeps
-:class:`~repro.core.bcheck.BCheck` inside the ``O(|Q|(|A|+|Q|))`` bound.
+its constant (if any).  With union by rank and path compression,
+``entails_eq``, ``constant_of`` and ``has_constant`` take amortized
+``O(α(n))`` time, effectively constant.  ``equivalent_refs`` copies the
+class into a new frozenset on every call, so it costs ``O(|class|)``;
+``classes`` costs ``O(n)`` for ``n`` mentioned references.  The checking
+algorithms therefore call ``classes`` once per check (see
+:class:`~repro.core.closure.Actualization`) and look classes up in the
+result, instead of calling ``equivalent_refs`` per attribute.
 """
 
 from __future__ import annotations
@@ -158,6 +162,7 @@ class EqualityClosure:
         """All attribute references in the same equivalence class as ``ref``.
 
         Always contains ``ref`` itself, even when it never appears in ``C``.
+        Costs ``O(|class|)``: the class is copied into a new frozenset.
         """
         if ref not in self._parent:
             return frozenset((ref,))

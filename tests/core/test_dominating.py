@@ -39,6 +39,33 @@ class TestFindDPh:
         result = find_dominating_parameters(q1, weakened)
         assert not result.found
         assert not has_dominating_parameters(q1, weakened)
+        # The reason comes from step 2's seeded closure: every parameter is
+        # covered, but tagging has no index to fetch its occurrence through.
+        assert result.reason.splitlines() == [
+            "instantiating every candidate parameter still leaves Q1 not effectively bounded:",
+            "  parameters of occurrence 't' (tagging) are not indexed in A",
+        ]
+
+    def test_step2_failure_lists_uncovered_parameters(self, schema):
+        """Parameters no constraint can reach are named, beside the unindexed occurrence."""
+        access = AccessSchema([AccessConstraint("friends", ["user_id"], ["friend_id"], 10)])
+        query = (
+            SPCQueryBuilder(schema)
+            .add_atom("friends", alias="f")
+            .add_atom("tagging", alias="t")
+            .where_eq("f.friend_id", "t.tagger_id")
+            .select("t.photo_id")
+            .build()
+        )
+        result = find_dominating_parameters(query, access)
+        assert not result.found and result.parameters == frozenset()
+        assert result.reason.splitlines() == [
+            f"instantiating every candidate parameter still leaves {query.name} "
+            "not effectively bounded:",
+            "  parameters not deducible from the instantiated constants (X_C):",
+            "    t.photo_id",
+            "  parameters of occurrence 't' (tagging) are not indexed in A",
+        ]
 
     def test_already_effectively_bounded_query(self, q0, access_schema):
         result = find_dominating_parameters(q0, access_schema)
